@@ -31,22 +31,21 @@ round-trip (hundreds of cycles one-way) instead of the on-chip L2 trip.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import GpuConfig, LinkConfig
 from ..gpu.kernel import Kernel
 from ..interconnect import MultiGpuSystem
-from .metrics import TransmissionResult
+from .base import CovertChannelBase
 from .protocol import (
     ChannelParams,
-    decode_binary,
     receiver_program,
     region_bytes,
     sender_program,
 )
 
 
-class LinkCovertChannel:
+class LinkCovertChannel(CovertChannelBase):
     """Covert channel over one inter-GPU link of a multi-device system.
 
     Parameters
@@ -72,7 +71,6 @@ class LinkCovertChannel:
         seed_salt: int = 0,
         target_device: int = 1,
     ) -> None:
-        self.config = config
         self.link = link if link is not None else LinkConfig()
         if not 0 < target_device < self.link.num_devices:
             raise ValueError(
@@ -80,13 +78,8 @@ class LinkCovertChannel:
                 f"{self.link.num_devices}-device fabric (or is the "
                 f"attacker's own device 0)"
             )
-        self.params = params or self.default_params()
-        self.seed_salt = seed_salt
         self.target_device = target_device
-        self._channel_thresholds: Optional[List[float]] = None
-        #: Telemetry manifests of the most recent run, one per device
-        #: (None unless ``config.telemetry_enabled``).
-        self.last_telemetry: Optional[Dict] = None
+        super().__init__(config, params=params, seed_salt=seed_salt)
 
     def default_params(self) -> ChannelParams:
         """Slot timing sized for the remote round-trip.
@@ -114,7 +107,10 @@ class LinkCovertChannel:
     def _run(
         self, per_channel: List[List[int]]
     ) -> Tuple[Dict[int, List[float]], int]:
-        """One transmission over a freshly built multi-GPU system."""
+        """One transmission over a freshly built multi-GPU system.
+
+        ``last_telemetry`` gets one manifest per device.
+        """
         config = self.config
         params = self.params
         line = config.l2_line_bytes
@@ -193,48 +189,3 @@ class LinkCovertChannel:
             for slot in range(len(per_channel[0]))
         ]
         return {0: series}, cycles
-
-    # -- calibration ------------------------------------------------------ #
-    def calibrate(self, training_symbols: int = 16) -> float:
-        """Transmit a known 0101... pattern and place the threshold
-        midway between the two observed latency clusters."""
-        pattern = [slot % 2 for slot in range(training_symbols)]
-        measurements, _ = self._run([pattern])
-        series = measurements[0]
-        zeros = [v for slot, v in enumerate(series) if not pattern[slot]]
-        ones = [v for slot, v in enumerate(series) if pattern[slot]]
-        if not zeros or not ones:
-            raise RuntimeError("calibration needs both symbol classes")
-        threshold = (
-            sum(zeros) / len(zeros) + sum(ones) / len(ones)
-        ) / 2.0
-        self._channel_thresholds = [threshold]
-        self.params = self.params.with_(threshold=threshold)
-        return threshold
-
-    def transmit(self, symbols: Sequence[int]) -> TransmissionResult:
-        """Send ``symbols`` (0/1 list) over the inter-GPU link."""
-        symbols = list(symbols)
-        if not symbols:
-            raise ValueError("empty payload")
-        if self.params.threshold is None:
-            self.calibrate()
-        measurements, cycles = self._run([symbols])
-        threshold = (self._channel_thresholds or [self.params.threshold])[0]
-        received = decode_binary(measurements[0], threshold)
-        return TransmissionResult(
-            config=self.config,
-            sent_symbols=symbols,
-            received_symbols=received,
-            cycles=cycles,
-            measurements=measurements,
-            thresholds=[threshold],
-            telemetry=self.last_telemetry,
-        )
-
-    def transmit_bytes(self, data: bytes) -> TransmissionResult:
-        """Convenience: send raw bytes MSB-first."""
-        bits = [
-            (byte >> (7 - bit)) & 1 for byte in data for bit in range(8)
-        ]
-        return self.transmit(bits)

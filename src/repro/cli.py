@@ -50,11 +50,11 @@ from typing import List, Optional
 
 from .analysis import format_series, format_table
 from .config import (
+    ENGINE_STRATEGIES,
     GpuConfig,
     PASCAL_P100,
     TURING_TU104,
     VOLTA_V100,
-    large_config,
     medium_config,
     small_config,
 )
@@ -63,14 +63,13 @@ SCALES = {
     "small": small_config,
     "medium": medium_config,
     "volta": lambda: VOLTA_V100,
-    "large": large_config,
     "pascal": lambda: PASCAL_P100,
     "turing": lambda: TURING_TU104,
 }
 
 #: Per-command default for ``--scale`` when the user does not pass one.
 #: ``bench`` defaults to the full Table-1 Volta — the engine comparison
-#: is only meaningful at the scale the vector strategy targets.
+#: is only meaningful at the paper's scale.
 DEFAULT_SCALE = "small"
 COMMAND_SCALES = {"bench": "volta"}
 
@@ -581,24 +580,10 @@ def cmd_bench(args) -> int:
             f"active {entry['active_wall_s']:7.3f}s  "
             f"speedup {entry['speedup']:.2f}x"
         )
-        if "vector_wall_s" in entry:
-            line += (
-                f"  vector {entry['vector_wall_s']:7.3f}s "
-                f"({entry['vector_speedup_vs_active']:.2f}x vs active)"
-            )
+        if "active_cycles_per_s" in entry:
+            line += f"  ({entry['active_cycles_per_s']:,.0f} cycles/s)"
         print(line)
     print(f"min speedup: {report['min_speedup']:.2f}x")
-    vector = report.get("vector", {})
-    if vector.get("available"):
-        volta = vector["full_volta"]
-        print(
-            f"vector @ full Volta: "
-            f"active {volta['active_cycles_per_s']:,.0f} cycles/s, "
-            f"vector {volta['vector_cycles_per_s']:,.0f} cycles/s "
-            f"({volta['speedup_vs_active']:.2f}x)"
-        )
-    elif vector:
-        print(f"vector: unavailable ({vector['error']})")
     telemetry = report["telemetry"]
     print(
         f"telemetry    off {telemetry['disabled_wall_s']:7.3f}s  "
@@ -750,15 +735,13 @@ def cmd_fuzz(args) -> int:
         if not case.ok:
             print(f"     {case.failure}")
 
-    from .validate.oracle import DEFAULT_STRATEGIES
-
     outcome = fuzz(
         runs=runs,
         seed=args.seed,
         max_cycles=args.cycles,
         oracle=not args.no_oracle,
         on_case=report,
-        strategies=tuple(args.strategies or DEFAULT_STRATEGIES),
+        strategies=tuple(args.strategies or ENGINE_STRATEGIES),
     )
     failed = len(outcome.failures)
     print(f"{len(outcome.cases)} case(s), {failed} failure(s)")
@@ -966,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scale", choices=sorted(SCALES), default=None,
         help="simulated GPU size (default: small; bench defaults to "
-             "volta; large is volta under the vector engine)",
+             "volta)",
     )
     parser.add_argument(
         "--validate", action="store_true",
@@ -1209,10 +1192,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the lockstep engine comparison")
     fuzz.add_argument(
         "--strategies", nargs="+", default=None, metavar="STRATEGY",
-        choices=("naive", "active", "vector"),
+        choices=ENGINE_STRATEGIES,
         help="engine strategies for the lockstep oracle; the first is "
-             "the baseline (default: naive active; pass 'naive active "
-             "vector' for the three-way sweep)",
+             "the baseline (default: naive active)",
     )
     fuzz.add_argument("--quick", action="store_true",
                       help="CI mode: a small time-boxed case budget")

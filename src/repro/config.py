@@ -21,16 +21,17 @@ from typing import Dict, List, Tuple
 #: Arbitration policy names accepted throughout the package.
 ARBITRATION_POLICIES = ("rr", "crr", "srr", "age", "fixed", "random")
 
-#: Engine scheduling strategies accepted by ``engine_strategy``.
-ENGINE_STRATEGIES = ("active", "naive", "vector")
+#: Engine scheduling strategies accepted by ``engine_strategy`` (and by
+#: :class:`repro.sim.engine.Engine`): the reference loop, then the fast one.
+ENGINE_STRATEGIES = ("naive", "active")
 
 
 class ConfigError(ValueError):
     """A configuration is invalid or unsatisfiable in this environment.
 
     Subclasses :class:`ValueError` so existing ``except ValueError``
-    call sites keep working; raised with an actionable message (e.g.
-    ``engine_strategy="vector"`` requested without numpy installed).
+    call sites keep working; raised with an actionable message (e.g. an
+    ``engine_strategy`` outside :data:`ENGINE_STRATEGIES`).
     """
 
 
@@ -464,13 +465,12 @@ class GpuConfig:
     seed: int = 2021
 
     #: Simulation-engine scheduling strategy: "active" (active-set
-    #: scheduling with quiescence fast-forward; the default), "naive"
-    #: (the reference tick-everything loop) or "vector" (event-driven
-    #: batch scheduling over struct-of-arrays state mirrors; requires
-    #: numpy and raises :class:`ConfigError` without it).  All three are
-    #: cycle-exact with respect to each other; "naive" exists for
-    #: equivalence testing and as a fallback while debugging new
-    #: components, "vector" for full-Volta-scale throughput.
+    #: scheduling with quiescence fast-forward plus the components' fast
+    #: tick paths; the default) or "naive" (the reference
+    #: tick-everything loop with the dense reference tick bodies).  The
+    #: two are cycle-exact with respect to each other; "naive" exists
+    #: for equivalence testing and as a fallback while debugging new
+    #: components.
     engine_strategy: str = "active"
 
     #: Simulation-integrity validation (repro.validate): a conservation
@@ -496,12 +496,11 @@ class GpuConfig:
     telemetry_epoch_cycles: int = 64
 
     #: Engine self-profiling (repro.metrics): sampled active-set sizes,
-    #: fast-forward span histogram, mux-bank dispatch widths and
-    #: sole-contender batch lengths, exported through the per-process
-    #: metrics registry.  Off by default; the profiler only *reads*
-    #: scheduler state, so seeded runs stay bit-identical with it on
-    #: (the lockstep oracle verifies this) and the disabled configuration
-    #: costs one branch per hook site.
+    #: fast-forward span histogram and sole-contender batch lengths,
+    #: exported through the per-process metrics registry.  Off by
+    #: default; the profiler only *reads* scheduler state, so seeded runs
+    #: stay bit-identical with it on (the lockstep oracle verifies this)
+    #: and the disabled configuration costs one branch per hook site.
     metrics_enabled: bool = False
     #: Cycles between active-set size samples.  Sampling (rather than
     #: recording every cycle) is what keeps enabled overhead under the
@@ -523,7 +522,7 @@ class GpuConfig:
                 f"expected one of {ARBITRATION_POLICIES}"
             )
         if self.engine_strategy not in ENGINE_STRATEGIES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown engine_strategy {self.engine_strategy!r}; "
                 f"expected one of {ENGINE_STRATEGIES}"
             )
@@ -659,19 +658,6 @@ def small_config(**changes) -> GpuConfig:
         num_l2_slices=8,
         num_memory_controllers=4,
     )
-    return base.replace(**changes) if changes else base
-
-
-def large_config(**changes) -> GpuConfig:
-    """The full Table-1 V100 driven by the vectorized batch engine.
-
-    Same simulated hardware as :data:`VOLTA_V100` (80 SMs, 48 L2
-    slices); the only difference is ``engine_strategy="vector"``, which
-    makes full-Volta experiment sweeps and golden recordings practical.
-    Requires numpy (raises :class:`ConfigError` at device build time
-    otherwise — there is deliberately no silent fallback).
-    """
-    base = GpuConfig(engine_strategy="vector")
     return base.replace(**changes) if changes else base
 
 

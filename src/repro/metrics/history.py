@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ..config import ENGINE_STRATEGIES
 from ..runner.cache import canonical_json
 
 #: Default history file, next to BENCH_engine.json in the working dir.
@@ -40,8 +41,6 @@ DEFAULT_WINDOW = 8
 
 #: Fractional throughput drop that counts as a regression.
 DEFAULT_THRESHOLD = 0.20
-
-_STRATEGIES = ("naive", "active", "vector")
 
 
 def host_fingerprint() -> Dict[str, Any]:
@@ -75,7 +74,7 @@ def _throughputs(report: Mapping[str, Any]) -> Dict[str, Dict[str, float]]:
     for name, entry in (report.get("workloads") or {}).items():
         per_strategy = {
             strategy: float(entry[key])
-            for strategy in _STRATEGIES
+            for strategy in ENGINE_STRATEGIES
             if (key := f"{strategy}_cycles_per_s") in entry
         }
         if per_strategy:
@@ -101,9 +100,6 @@ def bench_record(
         "num_bits": report.get("num_bits"),
         "throughputs": _throughputs(report),
         "min_speedup": report.get("min_speedup"),
-        "vector_speedup_vs_active": (
-            (report.get("vector") or {}).get("min_speedup_vs_active")
-        ),
     }
 
 

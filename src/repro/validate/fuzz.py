@@ -24,11 +24,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from ..config import ARBITRATION_POLICIES, GpuConfig
+from ..config import ARBITRATION_POLICIES, ENGINE_STRATEGIES, GpuConfig
 from ..gpu.device import GpuDevice
 from ..gpu.workloads import make_streaming_kernel
 from .invariants import InvariantViolation
-from .oracle import DEFAULT_STRATEGIES, verify_equivalence
+from .oracle import verify_equivalence
 
 
 def random_config(rng: random.Random) -> GpuConfig:
@@ -147,7 +147,7 @@ def run_case(
     max_cycles: int = 200_000,
     oracle_cycles: int = 6_000,
     oracle: bool = True,
-    strategies: Sequence[str] = DEFAULT_STRATEGIES,
+    strategies: Sequence[str] = ENGINE_STRATEGIES,
 ) -> FuzzCase:
     """Run one fuzz case end to end; never raises, records failures."""
     rng = random.Random(seed)
@@ -186,13 +186,11 @@ def fuzz(
     oracle_cycles: int = 6_000,
     oracle: bool = True,
     on_case: Optional[Callable[[FuzzCase], None]] = None,
-    strategies: Sequence[str] = DEFAULT_STRATEGIES,
+    strategies: Sequence[str] = ENGINE_STRATEGIES,
 ) -> FuzzReport:
     """Run ``runs`` cases with case seeds ``seed .. seed+runs-1``.
 
-    ``strategies`` is forwarded to the lockstep oracle; pass all of
-    :data:`~repro.config.ENGINE_STRATEGIES` for a three-way sweep that
-    includes the vector engine.
+    ``strategies`` is forwarded to the lockstep oracle (baseline first).
     """
     report = FuzzReport()
     for case_seed in range(seed, seed + runs):

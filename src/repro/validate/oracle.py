@@ -1,13 +1,13 @@
 """Lockstep oracle: the naive engine as ground truth for the others.
 
-PR 2 replaced tick-everything scheduling with an active-set engine whose
-park/wake bookkeeping is the single most bug-prone piece of the simulator:
-a component that parks one cycle too long produces timing that is subtly —
-not obviously — wrong, and the covert channel *is* timing.  The vector
-engine raises the stakes again (batched mux transfers, SoA write-through,
-reactive SM parking).  The oracle makes the equivalence claim checkable
-for any config and workload: it builds the same device once per engine
-strategy, steps them all in lockstep, and compares per-component
+The active-set engine's park/wake bookkeeping is the single most
+bug-prone piece of the simulator: a component that parks one cycle too
+long produces timing that is subtly — not obviously — wrong, and the
+covert channel *is* timing.  The fast tick paths ``active`` selects
+(sparse mux/crossbar ticks, sole-contender batching, reactive SM
+parking) raise the stakes again.  The oracle makes the equivalence
+claim checkable for any config and workload: it builds the same device
+once per engine strategy, steps them all in lockstep, and compares per-component
 :meth:`state_digest` snapshots every ``compare_every`` cycles, each
 strategy against the first (the baseline).
 
@@ -31,9 +31,6 @@ from ..gpu.device import GpuDevice
 #: It must be deterministic: called once per device, both calls must
 #: produce the same launches for the lockstep comparison to be meaningful.
 Stimulus = Callable[[GpuDevice], None]
-
-#: Default strategy set: baseline first, then the strategies under test.
-DEFAULT_STRATEGIES: Tuple[str, ...] = ("naive", "active")
 
 
 @dataclass
@@ -76,9 +73,9 @@ class LockstepOracle:
         pass recovers the exact cycle.
     strategies:
         Engine strategies to run in lockstep; the first is the baseline
-        every other strategy is compared against.  Defaults to the PR-2
-        pair ``("naive", "active")``; pass all of
-        :data:`~repro.config.ENGINE_STRATEGIES` for a three-way check.
+        every other strategy is compared against.  Defaults to
+        :data:`~repro.config.ENGINE_STRATEGIES` (``naive`` baseline, then
+        ``active``).
     builder:
         Optional factory called with the strategy-patched config; must
         return a built target exposing ``.engine`` and ``.all_idle`` (a
@@ -88,7 +85,6 @@ class LockstepOracle:
             LockstepOracle(
                 cfg, stimulus,
                 builder=lambda c: MultiGpuSystem(c, LinkConfig(2)),
-                strategies=ENGINE_STRATEGIES,
             )
 
         Because a :class:`~repro.interconnect.MultiGpuSystem` registers
@@ -103,7 +99,7 @@ class LockstepOracle:
         stimulus: Optional[Stimulus] = None,
         compare_every: int = 64,
         l1_enabled: bool = False,
-        strategies: Sequence[str] = DEFAULT_STRATEGIES,
+        strategies: Sequence[str] = ENGINE_STRATEGIES,
         builder: Optional[Callable[[GpuConfig], object]] = None,
     ) -> None:
         if compare_every <= 0:
@@ -216,7 +212,7 @@ def verify_equivalence(
     stimulus: Optional[Stimulus] = None,
     max_cycles: int = 200_000,
     compare_every: int = 64,
-    strategies: Sequence[str] = DEFAULT_STRATEGIES,
+    strategies: Sequence[str] = ENGINE_STRATEGIES,
     builder: Optional[Callable[[GpuConfig], object]] = None,
 ) -> Optional[Divergence]:
     """One-shot helper: run the oracle, return its verdict."""

@@ -242,10 +242,8 @@ class TestEngineProfiler:
         result = channel.transmit([1, 0, 1, 1])
         return result.cycles, result.received_symbols, result.measurements
 
-    @pytest.mark.parametrize("strategy", ["active", "vector"])
+    @pytest.mark.parametrize("strategy", ["naive", "active"])
     def test_bit_identical_with_metrics_enabled(self, strategy):
-        if strategy == "vector":
-            pytest.importorskip("numpy")
         base = self._channel_fingerprint(engine_strategy=strategy)
         profiled = self._channel_fingerprint(
             engine_strategy=strategy, metrics_enabled=True,
