@@ -23,6 +23,7 @@ worth of grant at a time; the mux loops over its per-cycle flit budget.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, Optional, Sequence
 
 from .packet import Packet
@@ -56,7 +57,13 @@ class ArbitrationPolicy:
     def choose(
         self, candidates: List[int], heads: List[Optional[Packet]], cycle: int
     ) -> int:
-        """Pick one of ``candidates`` (non-empty) to send a flit."""
+        """Pick one of ``candidates`` to send a flit.
+
+        ``candidates`` is non-empty, holds distinct ports in
+        ``range(num_inputs)``, and is in ascending port order: every
+        mux and crossbar tick (dense and sparse) builds it that way, and
+        the round-robin policies rely on it to rotate by bisection.
+        """
         raise NotImplementedError
 
     def note_flit(self, port: int, packet: Packet, last: bool) -> None:
@@ -72,6 +79,23 @@ class ArbitrationPolicy:
         this with their pointer/grant/rng state.
         """
         return ()
+
+
+def _contains(candidates: List[int], port: int) -> bool:
+    """Membership test on an ascending candidate list."""
+    index = bisect_left(candidates, port)
+    return index < len(candidates) and candidates[index] == port
+
+
+def _rotate(candidates: List[int], pointer: int) -> int:
+    """First candidate at or after ``pointer``, wrapping to the lowest.
+
+    Equal to the candidate minimising ``(port - pointer) % num_inputs``
+    for an ascending list of ports in ``range(num_inputs)``, in
+    O(log n) instead of a keyed scan.
+    """
+    index = bisect_left(candidates, pointer)
+    return candidates[index] if index < len(candidates) else candidates[0]
 
 
 class RoundRobin(ArbitrationPolicy):
@@ -92,13 +116,10 @@ class RoundRobin(ArbitrationPolicy):
         self._locked: Optional[int] = None
 
     def choose(self, candidates, heads, cycle):
-        if self._locked is not None and self._locked in candidates:
-            return self._locked
-        best = min(
-            candidates,
-            key=lambda port: (port - self._pointer) % self.num_inputs,
-        )
-        return best
+        locked = self._locked
+        if locked is not None and _contains(candidates, locked):
+            return locked
+        return _rotate(candidates, self._pointer)
 
     def note_flit(self, port, packet, last):
         if last:
@@ -134,16 +155,14 @@ class CoarseRoundRobin(ArbitrationPolicy):
         self._group: Optional[int] = None
 
     def choose(self, candidates, heads, cycle):
-        if self._hold_port is not None and self._hold_port in candidates:
-            head = heads[self._hold_port]
+        hold = self._hold_port
+        if hold is not None and _contains(candidates, hold):
+            head = heads[hold]
             if head is not None and head.group_id == self._group:
-                return self._hold_port
+                return hold
         # The held warp group is exhausted (or its port went idle):
         # rotate like plain round-robin.
-        return min(
-            candidates,
-            key=lambda port: (port - self._pointer) % self.num_inputs,
-        )
+        return _rotate(candidates, self._pointer)
 
     def note_flit(self, port, packet, last):
         self._hold_port = port

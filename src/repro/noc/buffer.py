@@ -89,6 +89,17 @@ class PacketQueue:
         return True
 
     # -- consumption --------------------------------------------------- #
+    @property
+    def packets(self) -> Deque[Packet]:
+        """The live FIFO itself, head at index 0 — read it, never mutate.
+
+        Its identity is fixed for the queue's lifetime (:meth:`clear`
+        empties it in place), so a switch may cache it once and test
+        ``fifo`` / read ``fifo[0]`` in its tick without a method call
+        per port.  All changes go through push/commit/pop.
+        """
+        return self._queue
+
     def head(self) -> Optional[Packet]:
         return self._queue[0] if self._queue else None
 

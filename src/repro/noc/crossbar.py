@@ -11,7 +11,8 @@ among competing inputs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from bisect import insort
+from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import Component, FOREVER
 from ..sim.stats import StatsRegistry
@@ -56,6 +57,8 @@ class Crossbar(Component):
         self.route = route
         self.width = width
         self.input_width = width if input_width is None else input_width
+        if min(self.width, self.input_width) < 1:
+            raise ValueError(f"{name}: port widths must be at least 1")
         self.stats = stats
         self._packets_key = f"{name}.packets"
         self._policies: List[ArbitrationPolicy] = [
@@ -64,8 +67,14 @@ class Crossbar(Component):
         ]
         self._progress: List[int] = [0] * len(inputs)
         self._reserved: List[bool] = [False] * len(inputs)
+        #: Each input's live deque (:attr:`PacketQueue.packets`), read
+        #: directly by the sparse tick.
+        self._fifos = [queue.packets for queue in inputs]
         #: Tick via :meth:`_tick_sparse` (set by enable_fast_paths).
         self._sparse = False
+        #: ``idle_until`` verdict computed by the sparse tick (None =
+        #: busy); only consulted when ``_sparse`` is set.
+        self._idle_hint = None
         # -- telemetry (None unless the device enables it) -------------- #
         self._tracer = None
         self._tl_id = 0
@@ -74,10 +83,10 @@ class Crossbar(Component):
     def enable_fast_paths(self) -> None:
         """Tick through the sparse live-port body (``active`` strategy).
 
-        The sparse tick only walks *nonempty* input ports (the dense
+        The sparse tick groups the nonempty input ports by output once
+        per tick and patches the groups after each round (the dense
         reference tick rebuilds a per-output candidate list over every
-        port each round — 48 list allocations per round at Table-1
-        scale).  Grant-for-grant identical to the dense tick.
+        port each round).  Grant-for-grant identical to the dense tick.
         """
         self._sparse = True
 
@@ -153,41 +162,50 @@ class Crossbar(Component):
                 break
 
     def _tick_sparse(self, cycle: int) -> None:
-        """Slot-assignment tick walking only the live input ports.
+        """Slot-assignment tick with candidacy patched per round.
 
         Semantics are identical to the dense :meth:`tick` — same round
         structure, same ascending output order, same per-round candidacy
-        — but the candidate grouping is sparse.
+        — but inputs are grouped by output once per tick, then patched
+        after each round.  A round's grants change only:
+
+        * the granted ports: budget spent, and on completion a new head
+          that may route elsewhere — so only those are re-grouped;
+        * the granted outputs: budget spent, and on a fresh ``reserve``
+          less free space — so only those groups are re-filtered.
+
+        A port that was not granted keeps its head and route, and its
+        output's budget and free space only shrink, so it can never
+        rejoin a group mid-tick.  Groups stay in ascending port order.
         """
-        inputs = self.inputs
-        live = [port for port, queue in enumerate(inputs) if queue]
-        if not live:
-            return
+        fifos = self._fifos
         outputs = self.outputs
         route = self.route
         reserved = self._reserved
-        progress = self._progress
-        num_inputs = len(inputs)
-        input_budget = [self.input_width] * num_inputs
-        output_budget = [self.width] * len(outputs)
-        heads: List[Optional[Packet]] = [None] * num_inputs
-        while True:
-            moved = False
-            for port in live:
-                heads[port] = inputs[port].head()
-            per_output: dict = {}
-            for p in live:
-                head = heads[p]
-                if head is None or input_budget[p] <= 0:
-                    continue
+        heads: List[Optional[Packet]] = [None] * len(fifos)
+        groups: Dict[int, List[int]] = {}
+        live = 0
+        for p, fifo in enumerate(fifos):
+            if fifo:
+                live += 1
+                head = heads[p] = fifo[0]
                 out = route(head)
-                if output_budget[out] <= 0:
-                    continue
-                if reserved[p] or outputs[out].can_reserve(head.flits):
-                    per_output.setdefault(out, []).append(p)
-            for out in sorted(per_output):
-                candidates = per_output[out]
-                policy = self._policies[out]
+                if reserved[p] or head.flits <= outputs[out].free_flits:
+                    group = groups.get(out)
+                    if group is None:
+                        groups[out] = [p]
+                    else:
+                        group.append(p)
+        progress = self._progress
+        policies = self._policies
+        input_left = [self.input_width] * len(fifos)
+        output_left = [self.width] * len(outputs)
+        completed = 0
+        while groups:
+            granted = []
+            for out in sorted(groups):
+                candidates = groups[out]
+                policy = policies[out]
                 allowed = policy.allowed_inputs(cycle)
                 if allowed is not None:
                     candidates = [p for p in candidates if p in allowed]
@@ -195,8 +213,8 @@ class Crossbar(Component):
                         continue
                 port = policy.choose(candidates, heads, cycle)
                 packet = heads[port]
-                assert packet is not None
-                if not reserved[port]:
+                fresh = not reserved[port]
+                if fresh:
                     outputs[out].reserve(packet.flits)
                     reserved[port] = True
                 if self._tracer is not None:
@@ -205,26 +223,68 @@ class Crossbar(Component):
                                           port, packet.uid, out)
                     self._tl_out[out].add(cycle, 1)
                 progress[port] += 1
-                input_budget[port] -= 1
-                output_budget[out] -= 1
+                input_left[port] -= 1
+                output_left[out] -= 1
                 last = progress[port] >= packet.flits
                 policy.note_flit(port, packet, last)
                 if last:
-                    inputs[port].pop()
+                    self.inputs[port].pop()
                     outputs[out].commit(packet)
                     progress[port] = 0
                     reserved[port] = False
-                    if self.stats is not None:
-                        self.stats.incr(self._packets_key)
+                    completed += 1
                     if self._tracer is not None:
                         self._tracer.emit(cycle, XBAR_XFER, self._tl_id,
                                           port, packet.uid, out)
-                moved = True
-            if not moved:
+                granted.append((port, out, fresh, last))
+            if not granted:
                 break
+            for port, out, fresh, last in granted:
+                group = groups[out]
+                if output_left[out] <= 0:
+                    del groups[out]
+                else:
+                    if last or input_left[port] <= 0:
+                        group.remove(port)
+                    if fresh:
+                        free = outputs[out].free_flits
+                        group[:] = [
+                            p for p in group
+                            if reserved[p] or heads[p].flits <= free
+                        ]
+                    if not group:
+                        del groups[out]
+                if not last:
+                    continue
+                fifo = fifos[port]
+                if not fifo:
+                    heads[port] = None
+                    live -= 1
+                    continue
+                head = heads[port] = fifo[0]
+                if input_left[port] <= 0:
+                    continue
+                to = route(head)
+                if output_left[to] > 0 and (
+                    head.flits <= outputs[to].free_flits
+                ):
+                    group = groups.get(to)
+                    if group is None:
+                        groups[to] = [port]
+                    else:
+                        insort(group, port)
+        if completed and self.stats is not None:
+            self.stats.incr(self._packets_key, completed)
+        self._idle_hint = None if live else FOREVER
 
     def idle_until(self, cycle: int) -> Optional[int]:
-        """Purely reactive: idle exactly when every input queue is empty."""
+        """Purely reactive: idle exactly when every input queue is empty.
+
+        The sparse tick already knows the answer and leaves it in
+        ``_idle_hint``; the dense reference rescans the inputs.
+        """
+        if self._sparse:
+            return self._idle_hint
         for queue in self.inputs:
             if queue:
                 return None
@@ -258,6 +318,7 @@ class Crossbar(Component):
     def reset(self) -> None:
         self._progress = [0] * len(self.inputs)
         self._reserved = [False] * len(self.inputs)
+        self._idle_hint = None
         for policy in self._policies:
             policy.reset()
         for queue in self.inputs:

@@ -41,6 +41,8 @@ class Mux(Component):
                 f"{name}: policy built for {policy.num_inputs} inputs, "
                 f"mux has {len(inputs)}"
             )
+        if width < 1:
+            raise ValueError(f"{name}: width must be at least 1")
         self.name = name
         self.inputs = inputs
         self.output = output
@@ -56,6 +58,9 @@ class Mux(Component):
         self._progress: List[int] = [0] * len(inputs)
         #: Whether output space is reserved for each input's head packet.
         self._reserved: List[bool] = [False] * len(inputs)
+        #: Each input's live deque (:attr:`PacketQueue.packets`), read
+        #: directly by the sparse tick.
+        self._fifos = [queue.packets for queue in inputs]
         # -- fast paths (set by enable_fast_paths under "active") -------- #
         #: Tick via :meth:`_tick_sparse` (live-input iteration) instead
         #: of the dense reference loop.
@@ -148,64 +153,73 @@ class Mux(Component):
             self._tl_link.add(cycle, moved)
 
     def _tick_sparse(self, cycle: int) -> None:
-        """Fast tick: identical grants, live-input iteration.
+        """Fast tick: identical grants, candidacy patched per grant.
 
-        The dense reference loop rebuilds a full-width ``heads`` list on
-        every flit of budget — 48 ``head()`` calls per round on a reply
-        mux that usually has one busy input.  This walk touches only the
-        nonempty ports and skips the policy call entirely when a single
-        candidate and a flit-invariant policy make the grant forced.
-        Grant-for-grant and counter-for-counter identical to the dense
-        tick.
+        The dense reference loop rebuilds a full-width ``heads`` list and
+        re-tests every port's candidacy on every flit of budget.  Here
+        heads and candidacy are read once per tick, straight from the
+        cached input deques, and then patched after each grant.  Within
+        a tick only two things change:
+
+        * the granted port's head, when its packet completes and pops —
+          so only that port is re-checked;
+        * the output's free space, which only shrinks, and only on a
+          fresh ``reserve`` — so only then are the unreserved candidates
+          re-filtered against one ``free_flits`` read.
+
+        No other port can gain candidacy mid-tick, so the list stays
+        exactly what the dense loop would rebuild, in ascending order.
+        A single candidate under a flit-invariant policy is granted
+        without a policy call.  Grant-for-grant and counter-for-counter
+        identical to the dense tick.
         """
         if self._batch is not None:
             self._materialize(cycle)
-        inputs = self.inputs
-        live = [p for p, q in enumerate(inputs) if q]
+        fifos = self._fifos
+        reserved = self._reserved
+        output = self.output
+        free = output.free_flits
+        heads: List[Optional[Packet]] = [None] * len(fifos)
+        candidates = []
+        live = 0
+        for p, fifo in enumerate(fifos):
+            if fifo:
+                live += 1
+                head = heads[p] = fifo[0]
+                if reserved[p] or head.flits <= free:
+                    candidates.append(p)
         if not live:
             self._idle_hint = FOREVER
             return
         policy = self.policy
         allowed = policy.allowed_inputs(cycle)
+        if allowed is not None:
+            candidates = [p for p in candidates if p in allowed]
         forced = policy.flit_invariant
-        budget = self.width
+        width = self.width
+        progress = self._progress
         moved = 0
         completed = 0
-        reserved = self._reserved
-        progress = self._progress
-        output = self.output
-        heads: List[Optional[Packet]] = [None] * len(inputs)
-        while budget > 0:
-            candidates = []
-            for p in live:
-                head = inputs[p].head()
-                heads[p] = head
-                if head is not None and (
-                    reserved[p] or output.can_reserve(head.flits)
-                ):
-                    candidates.append(p)
-            if allowed is not None:
-                candidates = [p for p in candidates if p in allowed]
-            if not candidates:
-                break
+        while candidates:
             if forced and len(candidates) == 1:
                 port = candidates[0]
             else:
                 port = policy.choose(candidates, heads, cycle)
             packet = heads[port]
-            if not reserved[port]:
-                output.reserve(packet.flits)
+            flits = packet.flits
+            fresh = not reserved[port]
+            if fresh:
+                output.reserve(flits)
                 reserved[port] = True
             if self._tracer is not None and progress[port] == 0:
                 self._tracer.emit(cycle, MUX_GRANT, self._tl_id,
                                   port, packet.uid)
             progress[port] += 1
-            budget -= 1
             moved += 1
-            last = progress[port] >= packet.flits
+            last = progress[port] >= flits
             policy.note_flit(port, packet, last)
             if last:
-                inputs[port].pop()
+                self.inputs[port].pop()
                 output.commit(packet)
                 progress[port] = 0
                 reserved[port] = False
@@ -213,6 +227,25 @@ class Mux(Component):
                 if self._tracer is not None:
                     self._tracer.emit(cycle, MUX_XFER, self._tl_id,
                                       port, packet.uid)
+                fifo = fifos[port]
+                if fifo:
+                    heads[port] = fifo[0]
+                else:
+                    heads[port] = None
+                    live -= 1
+            if moved == width:
+                break
+            if fresh:
+                free = output.free_flits
+                candidates = [
+                    p for p in candidates
+                    if reserved[p]
+                    or (heads[p] is not None and heads[p].flits <= free)
+                ]
+            elif last:
+                head = heads[port]
+                if head is None or head.flits > free:
+                    candidates.remove(port)
         if moved:
             stats = self.stats
             if stats is not None:
@@ -223,11 +256,7 @@ class Mux(Component):
                 self._tl_link.add(cycle, moved)
             if self._batching:
                 self._maybe_start_batch(cycle)
-        for p in live:
-            if inputs[p]:
-                self._idle_hint = None
-                return
-        self._idle_hint = FOREVER
+        self._idle_hint = None if live else FOREVER
 
     # -- lazy sole-contender batching ----------------------------------- #
     def _materialize(self, cycle: int) -> None:

@@ -1,5 +1,7 @@
 """Unit and property tests for the arbitration policies (Sections 2.3, 6)."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -233,3 +235,54 @@ class TestProperties:
         while output:
             crossed.append(output.pop().uid)
         assert sorted(crossed) == sorted(pushed)
+
+
+def _keyed_rotation(candidates, pointer, num_inputs):
+    """The pre-bisection round-robin pick: a keyed scan of every port."""
+    return min(candidates, key=lambda port: (port - pointer) % num_inputs)
+
+
+class TestBisectRotation:
+    """RR/CRR rotate by bisection on the ascending candidate list; that
+    must pick exactly what the keyed ``(port - pointer) % n`` scan did."""
+
+    @staticmethod
+    def _draws(seed, rounds=4000):
+        rng = random.Random(seed)
+        for _ in range(rounds):
+            num_inputs = rng.randint(1, 64)
+            size = rng.randint(1, num_inputs)
+            candidates = sorted(rng.sample(range(num_inputs), size))
+            pointer = rng.randrange(num_inputs)
+            lock = rng.choice([None, rng.randrange(num_inputs),
+                               rng.choice(candidates)])
+            yield rng, num_inputs, candidates, pointer, lock
+
+    def test_round_robin_matches_keyed_scan(self):
+        for _, num_inputs, candidates, pointer, lock in self._draws(5):
+            policy = RoundRobin(num_inputs)
+            policy._pointer, policy._locked = pointer, lock
+            if lock is not None and lock in candidates:
+                expected = lock
+            else:
+                expected = _keyed_rotation(candidates, pointer, num_inputs)
+            heads = [None] * num_inputs
+            assert policy.choose(candidates, heads, 0) == expected
+
+    def test_coarse_round_robin_matches_keyed_scan(self):
+        for rng, num_inputs, candidates, pointer, hold in self._draws(6):
+            policy = CoarseRoundRobin(num_inputs)
+            group = rng.randrange(3)
+            policy._pointer, policy._hold_port = pointer, hold
+            policy._group = group
+            heads = [
+                packet(group=rng.randrange(3)) if port in candidates
+                else None
+                for port in range(num_inputs)
+            ]
+            if (hold is not None and hold in candidates
+                    and heads[hold].group_id == group):
+                expected = hold
+            else:
+                expected = _keyed_rotation(candidates, pointer, num_inputs)
+            assert policy.choose(candidates, heads, 0) == expected

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.config import ARBITRATION_POLICIES
 from repro.noc.buffer import PacketQueue
 from repro.noc.crossbar import Crossbar
 from repro.noc.packet import Packet, READ
+from repro.sim.engine import FOREVER
+from repro.sim.stats import StatsRegistry
 
 
 def packet(slice_id, flits=1, birth=0):
@@ -69,6 +72,11 @@ class TestContention:
         moved = len(outputs[0]) + len(outputs[1])
         assert moved == 1
 
+    @pytest.mark.parametrize("width, input_width", [(0, None), (2, 0)])
+    def test_zero_width_rejected(self, width, input_width):
+        with pytest.raises(ValueError):
+            build(width=width, input_width=input_width)
+
     def test_output_width_budget_in_flits(self):
         xbar, inputs, outputs = build(width=2, input_width=8)
         inputs[0].push(packet(slice_id=0, flits=2))
@@ -131,14 +139,64 @@ class TestSparseTick:
                     queue.push(packet(slice_id=rng.randrange(4),
                                       flits=rng.randint(1, 3), birth=cycle))
             xbar.tick(cycle)
+            # The sparse tick's idle hint must equal the dense scan.
+            idle = xbar.idle_until(cycle)
             for queue in outputs:
                 while queue and rng.random() < 0.5:
                     queue.pop()
-            trace.append(xbar.state_digest())
+            trace.append((xbar.state_digest(), idle))
         return trace
 
     def test_sparse_matches_dense(self):
         """The active strategy's live-port tick is grant-for-grant
         identical to the dense reference under contention and
-        backpressure."""
-        assert self._run(sparse=True) == self._run(sparse=False)
+        backpressure, and leaves the same ``idle_until`` verdict."""
+        sparse = self._run(sparse=True)
+        assert sparse == self._run(sparse=False)
+        verdicts = {idle for _, idle in sparse}
+        assert verdicts == {None, FOREVER}
+
+    @staticmethod
+    def _run_wide(sparse, policy_name):
+        """48 backlogged inputs onto 6 narrow, slowly drained outputs.
+
+        Shaped like the single-FIFO reply crossbar: wide inputs, width-3
+        outputs, 4-flit replies mixed with 1-flit acks, so fresh
+        reservations shrink an output's room mid-tick and completed
+        heads re-route to other outputs between rounds.
+        """
+        import random
+
+        rng = random.Random(31)
+        inputs = [PacketQueue(f"in{i}", 16) for i in range(48)]
+        outputs = [PacketQueue(f"out{i}", 12) for i in range(6)]
+        stats = StatsRegistry()
+        xbar = Crossbar("x", inputs, outputs, route=lambda p: p.slice_id,
+                        width=3, input_width=8, policy_name=policy_name,
+                        seed=2, stats=stats)
+        if sparse:
+            xbar.enable_fast_paths()
+        trace = []
+        for cycle in range(200):
+            for queue in inputs:
+                while len(queue) < 3:
+                    queue.push(packet(
+                        slice_id=rng.randrange(6),
+                        flits=4 if rng.random() < 0.75 else 1,
+                        birth=cycle,
+                    ))
+            xbar.tick(cycle)
+            for queue in outputs:
+                if queue and rng.random() < 0.6:
+                    queue.pop()
+            trace.append(xbar.state_digest())
+        return trace, stats.snapshot()
+
+    @pytest.mark.parametrize("policy_name", ARBITRATION_POLICIES)
+    def test_sparse_matches_dense_on_wide_backlogged_crossbar(
+        self, policy_name
+    ):
+        dense = self._run_wide(sparse=False, policy_name=policy_name)
+        sparse = self._run_wide(sparse=True, policy_name=policy_name)
+        assert dense[1]["x.packets"] > 50
+        assert sparse == dense

@@ -97,6 +97,15 @@ class TestBackpressure:
         assert output.head().flits == 1
 
 
+class TestConstruction:
+    def test_zero_width_rejected(self):
+        """A width-0 mux could never move a flit; both tick bodies
+        assume at least one flit of budget, so it is refused."""
+        with pytest.raises(ValueError):
+            Mux("m", [PacketQueue("in", 8)], PacketQueue("out", 8), 0,
+                RoundRobin(1))
+
+
 class TestReset:
     def test_reset_clears_partial_transmission(self):
         mux, inputs, output = build(width=1)
@@ -148,6 +157,39 @@ def _run_random_traffic(policy_name, sparse, cycles=300):
     return trace, stats.snapshot()
 
 
+def _run_backlogged_reply_mux(policy_name, sparse, cycles=200):
+    """Per-cycle state of a 48:1 width-3 mux shaped like a GPC reply mux.
+
+    Every input stays backlogged with 4-flit read replies mixed with
+    1-flit write acks, and the output drains about 2 flits a cycle —
+    slower than the mux's width — so a fresh reservation regularly
+    leaves too little room for the other heads later in the same tick.
+    """
+    rng = random.Random(23)
+    inputs = [PacketQueue(f"in{i}", 16) for i in range(48)]
+    output = PacketQueue("out", 12)
+    stats = StatsRegistry()
+    mux = Mux("m", inputs, output, 3,
+              make_policy(policy_name, 48, seed=5), stats=stats)
+    if sparse:
+        mux.enable_fast_paths()
+    trace = []
+    for cycle in range(cycles):
+        for port, queue in enumerate(inputs):
+            while len(queue) < 2:
+                queue.push(Packet(
+                    kind=READ, address=cycle * 128,
+                    flits=4 if rng.random() < 0.75 else 1,
+                    src_sm=port, slice_id=port,
+                    group_id=rng.randrange(3), birth_cycle=cycle,
+                ))
+        mux.tick(cycle)
+        if output and rng.random() < 0.6:
+            output.pop()
+        trace.append(mux.state_digest())
+    return trace, stats.snapshot()
+
+
 class TestSparseTick:
     @pytest.mark.parametrize("policy_name", ARBITRATION_POLICIES)
     def test_sparse_matches_dense(self, policy_name):
@@ -156,4 +198,15 @@ class TestSparseTick:
         dense = _run_random_traffic(policy_name, sparse=False)
         sparse = _run_random_traffic(policy_name, sparse=True)
         assert dense[1]["m.packets"] > 50
+        assert sparse == dense
+
+    @pytest.mark.parametrize("policy_name", ARBITRATION_POLICIES)
+    def test_sparse_matches_dense_on_wide_backlogged_mux(self, policy_name):
+        """48 always-nonempty inputs over a slow output: the incremental
+        candidate list must drop heads a fresh reservation priced out."""
+        dense = _run_backlogged_reply_mux(policy_name, sparse=False)
+        sparse = _run_backlogged_reply_mux(policy_name, sparse=True)
+        # SRR gives each of the 48 inputs one cycle in 48, so it moves
+        # far fewer packets than the work-conserving policies.
+        assert dense[1]["m.packets"] > 10
         assert sparse == dense

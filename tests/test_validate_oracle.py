@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import small_config
+from repro.config import medium_config, small_config
 from repro.gpu.workloads import make_streaming_kernel
 from repro.sim.engine import Component
 from repro.validate import Divergence, LockstepOracle, verify_equivalence
@@ -30,6 +30,39 @@ class TestEquivalence:
         assert verify_equivalence(
             config, streaming_stimulus("read"), max_cycles=20_000
         ) is None
+
+    def test_wide_reply_mux_read_workload_no_divergence(self):
+        """The GPC channel's sender traffic over 32 L2 slices.
+
+        Every SM of GPC 0 streams uncoalesced reads across all slices, so
+        its 32:1 reply mux runs with (nearly) every VOQ backlogged by
+        4-flit replies — wider than any reply mux the fuzzer draws.
+        """
+        config = medium_config(num_l2_slices=32, timing_noise=0)
+        devices = []
+
+        def stimulus(device):
+            cfg = device.config
+            gpc0_tpcs = set(cfg.gpc_members()[0])
+            senders = {
+                sm for sm in range(cfg.num_sms)
+                if cfg.sm_to_tpc(sm) in gpc0_tpcs
+            }
+            device.preload_region(0, 1 << 20)
+            device.launch(make_streaming_kernel(
+                cfg, "read", ops=16, num_blocks=cfg.num_sms,
+                warps_per_block=2, footprint_lines=cfg.num_l2_slices * 8,
+                active_sms=senders,
+            ))
+            devices.append(device)
+
+        assert verify_equivalence(
+            config, stimulus, max_cycles=3_000
+        ) is None
+        for device in devices:
+            reply_mux = device.reply_muxes[0]
+            assert len(reply_mux.inputs) == 32
+            assert sum(1 for queue in reply_mux.inputs if queue) > 8
 
     def test_idle_device_no_divergence(self):
         assert verify_equivalence(
